@@ -1,12 +1,17 @@
-//! Routing throughput of every partitioning scheme on a skewed stream.
+//! Routing throughput of every partitioning scheme on a skewed stream, and
+//! the cost of drawing the keys that feed it.
 //!
 //! PKG's pitch includes being cheap: stateless hashing plus a `d`-way argmin
 //! per message. These benches verify the routing hot path stays within a few
-//! tens of nanoseconds and quantify the cost of the routing-table baselines.
+//! tens of nanoseconds and quantify the cost of the routing-table baselines
+//! and of the adaptive schemes' per-source head tracker.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use pkg_core::{EstimateKind, SchemeSpec, SharedLoads};
+use pkg_datagen::zipf::ZipfTable;
 use pkg_datagen::DatasetProfile;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 
 fn keys(n: usize) -> Vec<u64> {
     DatasetProfile::lognormal1()
@@ -30,6 +35,8 @@ fn bench_routing(c: &mut Criterion) {
         ("pkg_d2_global", SchemeSpec::pkg(EstimateKind::Global)),
         ("static_potc", SchemeSpec::StaticPotc { estimate: EstimateKind::Local }),
         ("on_greedy", SchemeSpec::OnGreedy { estimate: EstimateKind::Local }),
+        ("dchoices_local", SchemeSpec::d_choices(EstimateKind::Local)),
+        ("wchoices_local", SchemeSpec::w_choices(EstimateKind::Local)),
     ];
     for (name, spec) in schemes {
         g.bench_function(name, |b| {
@@ -52,9 +59,25 @@ fn bench_routing(c: &mut Criterion) {
     g.finish();
 }
 
+/// Zipf rank sampling at the WP head probability (p1 = 9.32%) over the key
+/// counts of the scaled-down WP profiles, 100k draws per iteration.
+fn bench_zipf(c: &mut Criterion) {
+    const DRAWS: u64 = 100_000;
+    let mut g = c.benchmark_group("zipf_sample");
+    g.throughput(Throughput::Elements(DRAWS));
+    for k in [10_000u64, 33_000] {
+        let table = ZipfTable::with_p1(k, 0.0932);
+        let mut rng = SmallRng::seed_from_u64(7);
+        g.bench_function(format!("k{}k", k / 1_000), |b| {
+            b.iter(|| (0..DRAWS).fold(0u64, |acc, _| acc.wrapping_add(table.sample(&mut rng))))
+        });
+    }
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_routing
+    targets = bench_routing, bench_zipf
 }
 criterion_main!(benches);

@@ -1,18 +1,14 @@
-//! Streaming head-key detection: a Space-Saving-style top-key frequency
-//! estimator.
+//! Streaming head-key detection: a Space-Saving top-key frequency estimator.
 //!
 //! The D-Choices/W-Choices schemes of the journal follow-up ("When Two
-//! Choices Are not Enough", Nasir et al., ICDE 2016) must distinguish the
-//! few *head* keys — too frequent for two workers to absorb — from the long
-//! tail, online, per source, in constant memory. This module implements the
+//! Choices Are not Enough", Nasir et al., ICDE 2016) must tell the few
+//! *head* keys — too frequent for two workers to absorb — from the long
+//! tail, online, per source, in constant memory. This module is the
 //! estimator they assume: a [Space-Saving] summary of `capacity` counters
-//! over 64-bit key identifiers.
-//!
-//! It is deliberately independent of `pkg-agg`'s `SpaceSaving` sketch (which
-//! carries per-counter error bounds, merge support and a codec for the
-//! aggregation phase): `pkg-core` stays dependency-free, and routing needs
-//! only the overestimated count, whose guarantee is what makes head
-//! classification *provably* conservative:
+//! over 64-bit key ids. It is independent of `pkg-agg`'s `SpaceSaving`
+//! sketch (error bounds, merging, a codec) so that `pkg-core` stays
+//! dependency-free. Routing needs only the overestimated count, whose
+//! guarantee makes head classification *provably* conservative:
 //!
 //! * `count(k) ≥ occ(k)` — a genuinely hot key is never missed;
 //! * `count(k) ≤ occ(k) + total/capacity` — a key is overestimated by at
@@ -26,25 +22,32 @@
 //! tiny sample every first occurrence would trivially clear any relative
 //! threshold, and misclassifying cold keys as hot costs replication.
 //!
+//! **Layout:** up to `capacity` slots `(count, cell)` in non-increasing
+//! count order, so the last slot is a minimum. A cell owns one key and
+//! knows its slot's position; a `key → cell` map finds the cell. An
+//! increment swaps the key's slot with the first slot of its equal-count
+//! run (binary search) and adds one there. An eviction overwrites the last
+//! slot's key. Once full, the tracker allocates nothing, and an increment
+//! costs one hash lookup.
+//!
 //! [Space-Saving]: Metwally, Agrawal, El Abbadi — "Efficient computation of
 //! frequent and top-k elements in data streams", ICDT 2005.
 
-use std::collections::BTreeMap;
-
-use pkg_hash::{FxHashMap, FxHashSet};
+use pkg_hash::FxHashMap;
 
 /// Observations of estimated-frequency mass a key must be able to amass
 /// before head classification switches on (`total ≥ WARMUP_MASS / θ`).
 const WARMUP_MASS: f64 = 8.0;
 
 /// A Space-Saving summary estimating the stream's top key frequencies.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HeadTracker {
-    /// Authoritative counts (the Space-Saving overestimates).
-    counts: FxHashMap<u64, u64>,
-    /// Inverted index `count → keys at that count`; `first_key_value` is the
-    /// summary minimum, giving O(log capacity) eviction.
-    buckets: BTreeMap<u64, FxHashSet<u64>>,
+    /// `(count, cell)` in non-increasing count order.
+    slots: Vec<(u64, u32)>,
+    /// `key → cell` for every tracked key.
+    index: FxHashMap<u64, u32>,
+    /// Per cell: `(key, position of its slot)`.
+    cells: Vec<(u64, u32)>,
     capacity: usize,
     total: u64,
 }
@@ -53,7 +56,13 @@ impl HeadTracker {
     /// A tracker with the given counter budget (≥ 1).
     pub fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "tracker needs at least one counter");
-        Self { counts: FxHashMap::default(), buckets: BTreeMap::new(), capacity, total: 0 }
+        Self {
+            slots: Vec::new(),
+            index: FxHashMap::default(),
+            cells: Vec::new(),
+            capacity,
+            total: 0,
+        }
     }
 
     /// A tracker sized for head threshold `θ`: `capacity = ⌈8/θ⌉` counters
@@ -66,39 +75,34 @@ impl HeadTracker {
     /// Count one occurrence of `key`; returns its updated count estimate.
     pub fn observe(&mut self, key: u64) -> u64 {
         self.total += 1;
-        if let Some(c) = self.counts.get_mut(&key) {
-            let old = *c;
-            *c += 1;
-            let new = *c;
-            self.move_bucket(key, old, new);
-            return new;
-        }
-        let count = if self.counts.len() < self.capacity {
-            1
-        } else {
-            // Summary full: evict one minimum-count key and inherit its
-            // count plus one (the Space-Saving replacement rule).
-            let (&min, keys) = self.buckets.iter_mut().next().expect("full summary has buckets");
-            let victim = *keys.iter().next().expect("buckets are never empty");
-            keys.remove(&victim);
-            if keys.is_empty() {
-                self.buckets.remove(&min);
+        let cell = match self.index.get(&key) {
+            Some(&cell) => cell,
+            None if self.slots.len() < self.capacity => {
+                let cell = self.slots.len() as u32;
+                self.slots.push((0, cell));
+                self.cells.push((key, cell));
+                self.index.insert(key, cell);
+                cell
             }
-            self.counts.remove(&victim);
-            min + 1
+            None => {
+                // Summary full: the key takes over the last (minimum-count) slot
+                // and inherits its count plus one (the Space-Saving rule).
+                let cell = self.slots[self.capacity - 1].1;
+                let owner = &mut self.cells[cell as usize].0;
+                self.index.remove(owner);
+                *owner = key;
+                self.index.insert(key, cell);
+                cell
+            }
         };
-        self.counts.insert(key, count);
-        self.buckets.entry(count).or_default().insert(key);
-        count
-    }
-
-    fn move_bucket(&mut self, key: u64, old: u64, new: u64) {
-        let bucket = self.buckets.get_mut(&old).expect("tracked key has a bucket");
-        bucket.remove(&key);
-        if bucket.is_empty() {
-            self.buckets.remove(&old);
-        }
-        self.buckets.entry(new).or_default().insert(key);
+        let at = self.cells[cell as usize].1 as usize;
+        let count = self.slots[at].0;
+        let front = self.slots[..at].partition_point(|&(c, _)| c > count);
+        self.slots.swap(front, at);
+        self.cells[self.slots[at].1 as usize].1 = at as u32;
+        self.cells[cell as usize].1 = front as u32;
+        self.slots[front].0 += 1;
+        count + 1
     }
 
     /// Estimated count of `key` (its Space-Saving overestimate; 0 if
@@ -106,18 +110,14 @@ impl HeadTracker {
     /// plus one, i.e. certifiably tail).
     #[inline]
     pub fn count(&self, key: u64) -> u64 {
-        self.counts.get(&key).copied().unwrap_or(0)
+        self.index.get(&key).map_or(0, |&cell| self.slots[self.cells[cell as usize].1 as usize].0)
     }
 
     /// Estimated frequency of `key` in the observed stream (0 before any
     /// observation).
     #[inline]
     pub fn frequency(&self, key: u64) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.count(key) as f64 / self.total as f64
-        }
+        self.count(key) as f64 / self.total.max(1) as f64
     }
 
     /// Whether enough mass has been observed for threshold `theta` to be
@@ -133,14 +133,13 @@ impl HeadTracker {
     /// its next message can go.
     #[inline]
     pub fn next_frequency(&self, key: u64) -> f64 {
-        let next_count = if self.counts.contains_key(&key) {
-            self.count(key) + 1
-        } else if self.counts.len() < self.capacity {
-            1
-        } else {
-            self.buckets.keys().next().copied().unwrap_or(0) + 1
+        // Tracked counts are ≥ 1: a 0 is an untracked key, which inherits
+        // the minimum once the summary is full.
+        let count = match self.count(key) {
+            0 if self.slots.len() == self.capacity => self.slots[self.capacity - 1].0,
+            count => count,
         };
-        next_count as f64 / (self.total + 1) as f64
+        (count + 1) as f64 / (self.total + 1) as f64
     }
 
     /// Whether the *next* occurrence of `key` will classify as head at
@@ -158,7 +157,7 @@ impl HeadTracker {
 
     /// Number of keys currently tracked (≤ capacity).
     pub fn tracked(&self) -> usize {
-        self.counts.len()
+        self.slots.len()
     }
 
     /// Counter budget.
@@ -198,7 +197,7 @@ mod tests {
         }
         assert!(t.tracked() <= 4);
         // The Space-Saving guarantees on every tracked key.
-        let min = t.buckets.keys().next().copied().expect("non-empty");
+        let min = t.slots.last().map_or(0, |s| s.0);
         assert!(min <= t.total() / 4, "min {} > total/capacity", min);
         assert!(t.count(0) >= occ[&0], "hot key underestimated");
         for (&k, &o) in &occ {
@@ -253,6 +252,79 @@ mod tests {
         }
         assert_eq!(t.tracked(), 32);
         assert_eq!(t.total(), 10_000);
+    }
+
+    /// SplitMix64: a dependency-free stream of pseudo-random words.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A random stream over `0..space`: uniform, or skewed toward small
+    /// keys by squaring a uniform draw.
+    fn stream(space: u64, skewed: bool, len: usize, seed: u64) -> Vec<u64> {
+        let mut state = seed;
+        (0..len)
+            .map(|_| {
+                let u = (splitmix(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
+                let x = if skewed { u * u } else { u };
+                ((x * space as f64) as u64).min(space - 1)
+            })
+            .collect()
+    }
+
+    /// Checks the summary against exact occurrence counts.
+    fn check_against_oracle(t: &HeadTracker, occ: &std::collections::HashMap<u64, u64>) {
+        assert!(t.tracked() <= t.capacity());
+        assert_eq!(t.slots.iter().map(|s| s.0).sum::<u64>(), t.total());
+        assert!(t.slots.windows(2).all(|w| w[0].0 >= w[1].0), "slots out of order");
+        for (at, &(_, cell)) in t.slots.iter().enumerate() {
+            let (key, pos) = t.cells[cell as usize];
+            assert_eq!(pos as usize, at, "cell {cell} lost its slot");
+            assert_eq!(t.index[&key], cell);
+        }
+        let min = t.slots.last().map_or(0, |s| s.0);
+        for (&k, &o) in occ {
+            let c = t.count(k);
+            if c == 0 {
+                assert!(o <= min, "untracked key {k} occurred {o} > min {min}");
+            } else {
+                assert!(o <= c && c <= o + min, "key {k}: occ {o}, count {c}, min {min}");
+            }
+        }
+    }
+
+    #[test]
+    fn matches_a_brute_force_oracle_on_random_streams() {
+        for capacity in [1usize, 4, 64, 182] {
+            for space in [2u64, 7, 100, 1_000, 10_000] {
+                for skewed in [false, true] {
+                    let seed = capacity as u64 * 1_000_003 + space * 2 + skewed as u64;
+                    let keys = stream(space, skewed, 20_000, seed);
+                    let mut t = HeadTracker::new(capacity);
+                    let mut occ = std::collections::HashMap::new();
+                    for (i, &key) in keys.iter().enumerate() {
+                        let predicted = t.next_frequency(key);
+                        let c = t.observe(key);
+                        assert_eq!(predicted, c as f64 / t.total() as f64, "step {i}");
+                        assert_eq!(t.count(key), c);
+                        *occ.entry(key).or_insert(0u64) += 1;
+                        if i % 997 == 0 {
+                            check_against_oracle(&t, &occ);
+                        }
+                    }
+                    check_against_oracle(&t, &occ);
+                    let mut again = HeadTracker::new(capacity);
+                    keys.iter().for_each(|&k| {
+                        again.observe(k);
+                    });
+                    assert_eq!(t, again, "capacity {capacity}, space {space}: runs diverged");
+                }
+            }
+        }
     }
 
     #[test]

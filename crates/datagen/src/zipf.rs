@@ -8,8 +8,9 @@
 //! sample ranks from `Zipf(K, s)`.
 //!
 //! Two samplers are provided:
-//! * [`ZipfTable`] — inverse-CDF sampling over a precomputed table;
-//!   O(log K) per sample, 8 bytes/key. Used for `K` up to a few million.
+//! * [`ZipfTable`] — inverse-CDF sampling over a precomputed table with a
+//!   guide table in front of it; O(1) expected per sample, at most 12
+//!   bytes/key. Used for `K` up to a few million.
 //! * [`ZipfRejection`] — Hörmann & Derflinger rejection-inversion;
 //!   O(1) memory and amortized O(1) time, for the full-scale Twitter
 //!   profile (`K = 31M`).
@@ -73,9 +74,22 @@ pub fn fit_exponent(k: u64, p1: f64) -> f64 {
 }
 
 /// Inverse-CDF Zipf sampler over ranks `0..k`.
+///
+/// A sample is the rank `cdf.partition_point(|&c| c <= u)` for a uniform
+/// `u ∈ [0, 1)`. A *guide table* (Chen & Asau, 1974) narrows that search:
+/// `[0, 1)` is split into `m` equal buckets, `m` the largest power of two
+/// not above `k`, and `guide[j]` is the first rank whose CDF entry exceeds
+/// the bucket edge `j/m`. Multiplying by a power of two is exact in
+/// floating point, so `j = ⌊u·m⌋` is exact and the answer lies in
+/// `guide[j]..=guide[j+1]`. Searching `cdf[guide[j]..guide[j+1]]` then
+/// returns the same rank as the full search, for every `u`, while each
+/// bucket holds `k/m < 2` ranks on average. The guide is `u32`, so it adds
+/// at most half of the CDF's memory, and it is built in one merge pass.
 #[derive(Debug, Clone)]
 pub struct ZipfTable {
     cdf: Vec<f64>,
+    /// `m + 1` entries: `guide[j]` is the first rank with `cdf > j/m`.
+    guide: Vec<u32>,
     s: f64,
 }
 
@@ -94,7 +108,18 @@ impl ZipfTable {
         if let Some(last) = cdf.last_mut() {
             *last = 1.0;
         }
-        Self { cdf, s }
+        assert!(k <= u64::from(u32::MAX), "ZipfTable ranks must fit the u32 guide");
+        let buckets = 1usize << (usize::BITS - 1 - (k as usize).leading_zeros());
+        let mut guide = Vec::with_capacity(buckets + 1);
+        let mut rank = 0;
+        for j in 0..=buckets {
+            let edge = j as f64 / buckets as f64;
+            while rank < cdf.len() && cdf[rank] <= edge {
+                rank += 1;
+            }
+            guide.push(rank as u32);
+        }
+        Self { cdf, guide, s }
     }
 
     /// Build by fitting the exponent to a target head probability. A `p1`
@@ -137,8 +162,16 @@ impl ZipfTable {
     /// Sample a rank in `0..k`.
     #[inline]
     pub fn sample(&self, rng: &mut SmallRng) -> u64 {
-        let u: f64 = rng.random();
-        self.cdf.partition_point(|&c| c <= u) as u64
+        self.rank_at(rng.random())
+    }
+
+    /// The rank at CDF level `u ∈ [0, 1)`: the first rank whose CDF entry
+    /// exceeds `u`, found within `u`'s guide bucket.
+    #[inline]
+    fn rank_at(&self, u: f64) -> u64 {
+        let j = (u * (self.guide.len() - 1) as f64) as usize;
+        let (lo, hi) = (self.guide[j] as usize, self.guide[j + 1] as usize);
+        (lo + self.cdf[lo..hi].partition_point(|&c| c <= u)) as u64
     }
 }
 
@@ -338,6 +371,31 @@ mod tests {
         }
         // With s=0.8 and 100k draws every rank is hit with overwhelming prob.
         assert_eq!(seen_max, 49);
+    }
+
+    #[test]
+    fn guide_table_sampling_equals_the_full_cdf_search() {
+        for k in [1u64, 2, 3, 1_000, 10_000, 33_000] {
+            for s in [0.0, 0.8, 1.5] {
+                let t = ZipfTable::new(k, s);
+                let oracle = |u: f64| t.cdf.partition_point(|&c| c <= u) as u64;
+                let m = t.guide.len() - 1;
+                assert!(m.is_power_of_two() && m as u64 <= k, "k={k}: {m} buckets");
+                for j in 0..m {
+                    let edge = j as f64 / m as f64;
+                    assert_eq!(t.rank_at(edge), oracle(edge), "k={k} s={s} edge {j}/{m}");
+                    if j > 0 {
+                        let below = f64::from_bits(edge.to_bits() - 1);
+                        assert_eq!(t.rank_at(below), oracle(below), "k={k} s={s} below {j}/{m}");
+                    }
+                }
+                let mut rng = SmallRng::seed_from_u64(k ^ s.to_bits());
+                for _ in 0..1_000_000 {
+                    let u: f64 = rng.random();
+                    assert_eq!(t.rank_at(u), oracle(u), "k={k} s={s} u={u}");
+                }
+            }
+        }
     }
 
     #[test]
