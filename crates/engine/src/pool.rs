@@ -8,6 +8,11 @@
 //! * A task activation drains up to a **batch quantum** of packets
 //!   ([`DEFAULT_BATCH`]), amortizing mailbox locking and emitter setup,
 //!   then yields the worker.
+//! * A batched spout activation fans out to many destinations (PKG's two
+//!   choices per key); it collects the tasks it wakes and enqueues them in
+//!   wake order under **one run-queue lock**, then unparks idle workers in
+//!   **one idler pass** — not one lock pair per destination. Bolt emissions
+//!   still wake per tuple, so downstream work is never held back.
 //! * Tick deadlines live in one central [`TimerWheel`](crate::timer) —
 //!   replacing the per-thread `recv_timeout` of the legacy executor — and
 //!   wake the owning task when due.
@@ -158,6 +163,9 @@ struct TaskBody {
     batch_tuples: Vec<Option<Tuple>>,
     /// Scratch: destinations grouped by the batch router.
     targets: TargetBatch,
+    /// Scratch: tasks the batched spout path moved to `QUEUED`, in wake
+    /// order, awaiting [`Shared::enqueue_woken`] before the activation ends.
+    woken: Vec<usize>,
     processed: u64,
     emitted: u64,
     ticks: u64,
@@ -197,6 +205,7 @@ impl TaskBody {
             batch_keys: Vec::new(),
             batch_tuples: Vec::new(),
             targets: TargetBatch::new(),
+            woken: Vec::new(),
             processed: 0,
             emitted: 0,
             ticks: 0,
@@ -395,18 +404,26 @@ impl Shared {
     /// Tuples that do not fit (or follow one that spilled, anywhere) go to
     /// `outbox` in order, preserving the all-or-spill FIFO discipline of
     /// [`Sink::Pool`].
+    ///
+    /// A wake that moves `dest` to `QUEUED` appends it to `woken` instead
+    /// of enqueueing it: the caller must hand `woken` to
+    /// [`Shared::enqueue_woken`] before its activation returns, or `dest`
+    /// sits `QUEUED` outside every run queue.
     fn push_run(
         &self,
         dest: usize,
         run: &[u32],
         tuples: &mut [Option<Tuple>],
         outbox: &mut VecDeque<(usize, Packet)>,
+        woken: &mut Vec<usize>,
     ) {
         // `next` = first run index not yet handled; `accepted` = how many
         // actually landed in the mailbox (a ring rejection consumes its
-        // index by spilling the taken packet straight to the outbox).
+        // index by spilling the taken packet straight to the outbox);
+        // `depth` = the mailbox depth seen right after the run landed.
         let mut next = 0usize;
         let mut accepted = 0usize;
+        let mut depth = 0usize;
         if outbox.is_empty() {
             match self.mailbox(dest) {
                 Mailbox::Mutexed { cap, inner } => {
@@ -416,6 +433,7 @@ impl Shared {
                         next += 1;
                     }
                     accepted = next;
+                    depth = inner.queue.len();
                 }
                 Mailbox::Ring(ring) => {
                     // One tail publication for the whole run (the batch
@@ -423,6 +441,7 @@ impl Shared {
                     let mut supply = run.iter().map(|&idx| take_routed(tuples, idx));
                     accepted = ring.push_batch(&mut supply);
                     next = accepted;
+                    depth = ring.len();
                 }
             }
         }
@@ -432,9 +451,24 @@ impl Shared {
         if accepted > 0 {
             // One high-water fold per run (the batch analogue of the
             // per-push updates in `try_push`/`push_or_park`).
-            self.note_depth(dest, self.depth(dest));
-            self.wake(dest, &WakeKind::Notify);
+            self.note_depth(dest, depth);
+            if self.wake_state(dest, &WakeKind::Notify) {
+                woken.push(dest);
+            }
         }
+    }
+
+    /// Enqueue every task [`Shared::push_run`] woke, in wake order, under
+    /// one scheduler lock, then unpark up to that many idle workers under
+    /// one idler lock — instead of one lock pair per destination run.
+    /// Leaves `woken` empty.
+    fn enqueue_woken(&self, woken: &mut Vec<usize>) {
+        if woken.is_empty() {
+            return;
+        }
+        lock(&self.sched).runq.extend(woken.iter().copied());
+        self.unpark_idlers(woken.len());
+        woken.clear();
     }
 
     /// Drain up to `max` packets of `tid`'s own mailbox into `inbox`,
@@ -510,13 +544,15 @@ impl Shared {
     fn wake(&self, t: usize, kind: &WakeKind) {
         if self.wake_state(t, kind) {
             lock(&self.sched).runq.push_back(t);
-            self.unpark_one_idler();
+            self.unpark_idlers(1);
         }
     }
 
-    fn unpark_one_idler(&self) {
-        let popped = lock(&self.idlers).pop();
-        if let Some((_, u)) = popped {
+    /// Unpark up to `n` idle workers, newest first, under one idler lock.
+    fn unpark_idlers(&self, n: usize) {
+        let mut idlers = lock(&self.idlers);
+        for _ in 0..n {
+            let Some((_, u)) = idlers.pop() else { break };
             u.unpark();
         }
     }
@@ -583,6 +619,7 @@ fn activate(shared: &Shared, tid: usize, body: &mut TaskBody) -> Outcome {
         batch_keys,
         batch_tuples,
         targets,
+        woken,
         processed,
         emitted,
         ticks,
@@ -610,10 +647,11 @@ fn activate(shared: &Shared, tid: usize, body: &mut TaskBody) -> Outcome {
                 && ingress.is_none()
             {
                 // Batched hot path: generate up to a quantum of tuples,
-                // route them all in one `route_batch` pass, and deliver
-                // each destination's run with one lock acquisition and one
-                // wake — instead of per-tuple emitter setup, routing, and
-                // mailbox locking. Routing results are byte-identical to
+                // route them all in one `route_batch` pass, deliver each
+                // destination's run with one lock acquisition, and enqueue
+                // every woken destination under one scheduler lock —
+                // instead of per-tuple emitter setup, routing, mailbox
+                // locking and wake-ups. Routing results are byte-identical to
                 // the per-tuple path (pinned by `grouping.rs` tests and
                 // `engine_executor_parity.rs`): the router consumes keys in
                 // stream order either way.
@@ -641,8 +679,10 @@ fn activate(shared: &Shared, tid: usize, body: &mut TaskBody) -> Outcome {
                     unreachable!("pool tasks only have pool edges");
                 };
                 for (d, run) in targets.runs() {
-                    shared.push_run(dests[d], run, batch_tuples, outbox);
+                    shared.push_run(dests[d], run, batch_tuples, outbox, woken);
                 }
+                // Before any `Outcome` can be returned (see `push_run`).
+                shared.enqueue_woken(woken);
                 if *exhausted {
                     queue_eofs(edges, outbox);
                 }
@@ -1003,10 +1043,11 @@ fn worker_loop(shared: &Shared, wid: usize) {
         // Pick order: global injector (also firing due timers) → own local
         // queue → steal from a sibling. Global-first keeps freshly woken
         // tasks from starving behind a self-requeueing task.
+        let now_ns = shared.now_ns();
         let task = {
             let mut s = lock(&shared.sched);
             due.clear();
-            s.timers.fire(shared.now_ns(), &mut due);
+            s.timers.fire(now_ns, &mut due);
             for &(t, unpark) in &due {
                 let kind = if unpark { WakeKind::Unpark } else { WakeKind::Notify };
                 if shared.wake_state(t, &kind) {

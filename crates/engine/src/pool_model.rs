@@ -24,10 +24,16 @@
 //!    FIFO under every producer/consumer interleaving
 //!    ([`model_ring_parked_producer_is_always_observed`],
 //!    [`model_ring_spsc_fifo_across_interleavings`]).
+//! 6. **Coalesced wake flush** — a batched spout delivery that collects its
+//!    wakes and enqueues them under one scheduler lock, racing two
+//!    consumers' empty-check → IDLE transitions, leaves every `QUEUED`
+//!    task in the run queue exactly once and no packet stranded
+//!    ([`coalesced_flush_never_strands_a_woken_task`]).
 //!
 //! Detection power is proved, not assumed: `mutation_*` tests re-introduce
-//! the PR 4 stall bug and an unconditional-IDLE variant of the idle
-//! transition, and assert the checker *finds* the violating schedule.
+//! the conditional stall-park bug, an unconditional-IDLE variant of the
+//! idle transition, and a batched delivery that drops its wake flush, and
+//! assert the checker *finds* the violating schedule.
 
 // Test-only module: the parent's `#![warn(clippy::pedantic)]` does not need
 // to police fixture code.
@@ -436,4 +442,123 @@ fn model_ring_spsc_fifo_across_interleavings() {
             other => panic!("consumer observed out-of-order first value {other:?}"),
         }
     });
+}
+
+/// Producer half of invariant 6: a batched spout activation delivering a
+/// one-tuple run to each of tasks 0 and 1 through the real `push_run`,
+/// then (with `flush`) enqueueing the collected wakes. Returns how many
+/// tasks the deliveries woke.
+fn deliver_two_runs(shared: &Shared, flush: bool) -> usize {
+    let mut tuples = vec![Some(Tuple::new(*b"a", 1)), Some(Tuple::new(*b"b", 2))];
+    let mut outbox = VecDeque::new();
+    let mut woken = Vec::new();
+    shared.push_run(0, &[0], &mut tuples, &mut outbox, &mut woken);
+    shared.push_run(1, &[1], &mut tuples, &mut outbox, &mut woken);
+    assert!(outbox.is_empty(), "capacity 4 mailboxes never spill here");
+    let n = woken.len();
+    if flush {
+        shared.enqueue_woken(&mut woken);
+    }
+    n
+}
+
+/// Consumer half of invariant 6: worker `t` runs task `t`'s final
+/// "mailbox empty → settle(Idle)" epilogue.
+fn consume_then_idle(shared: &Shared, t: usize) {
+    let mut inbox = PacketBatch::default();
+    let outcome =
+        if shared.refill_inbox(t, &mut inbox, 64) == 0 { Outcome::Idle } else { Outcome::Yield };
+    let requeue = || {
+        // ordering: SeqCst — QUEUED before the id is published, as in
+        // `run_task` (SC-only model)
+        shared.tasks[t].state.store(QUEUED, SeqCst);
+        lock(&shared.sched).runq.push_back(t);
+    };
+    settle(shared, t, &outcome, requeue);
+}
+
+/// Two consumer tasks, both RUNNING on their own worker, and one idle
+/// worker registered; the producer delivers from the calling thread.
+/// Returns how many tasks the producer woke.
+fn race_flush_against_two_idlers(flush: bool) -> (Arc<Shared>, usize) {
+    let shared = Arc::new(mini_shared(2, 4));
+    let parker = Parker::new();
+    lock(&shared.idlers).push((0, parker.unparker()));
+    for slot in &shared.tasks {
+        // ordering: SeqCst — fixture set-up before any thread spawns (SC-only model)
+        slot.state.store(RUNNING, SeqCst);
+    }
+    let consumers: Vec<_> = (0..2)
+        .map(|t| {
+            let shared = Arc::clone(&shared);
+            pkg_model::thread::spawn(move || consume_then_idle(&shared, t))
+        })
+        .collect();
+    let woke = deliver_two_runs(&shared, flush);
+    for c in consumers {
+        c.join();
+    }
+    (shared, woke)
+}
+
+/// Every `QUEUED` task sits in the run queue exactly once, and a task with
+/// a non-empty mailbox is `QUEUED`.
+fn assert_none_stranded(shared: &Shared) {
+    let runq = lock(&shared.sched).runq.clone();
+    for t in 0..shared.tasks.len() {
+        // ordering: SeqCst — quiescent post-join read (SC-only model)
+        let state = shared.tasks[t].state.load(SeqCst);
+        if mailbox_len(shared, t) > 0 {
+            assert_eq!(state, QUEUED, "lost wake: task {t} has packets but went quiet");
+        }
+        let queued = runq.iter().filter(|&&q| q == t).count();
+        assert_eq!(
+            queued,
+            usize::from(state == QUEUED),
+            "stranded: task {t} in state {state} appears {queued} times in the run queue"
+        );
+    }
+}
+
+/// Invariant 6: `push_run` moves an IDLE consumer to QUEUED without
+/// enqueueing it, so the task is runnable only once `enqueue_woken` runs.
+/// Across every interleaving with two consumers idling concurrently, the
+/// flush leaves no task stranded, and unparks the idle worker exactly when
+/// it enqueued something.
+#[test]
+fn coalesced_flush_never_strands_a_woken_task() {
+    let report = pkg_model::Builder::new()
+        .preemption_bound(2)
+        .check(|| {
+            let (shared, woke) = race_flush_against_two_idlers(true);
+            assert_none_stranded(&shared);
+            assert_eq!(
+                lock(&shared.idlers).is_empty(),
+                woke > 0,
+                "the flush unparks an idle worker iff it enqueued a task"
+            );
+        })
+        .expect("no schedule may strand a task woken by a batched delivery");
+    assert!(
+        report.iterations >= 100,
+        "expected a real interleaving space, got {} schedules",
+        report.iterations
+    );
+}
+
+/// Detection power for invariant 6: a batched delivery that collects its
+/// wakes but never flushes them must be caught — in the schedules where a
+/// consumer idles before the push, the woken task is QUEUED in no queue.
+#[test]
+fn mutation_dropped_wake_flush_is_caught() {
+    let violation = pkg_model::Builder::new()
+        .preemption_bound(2)
+        .check(|| {
+            // BUG (deliberate): the activation returns without
+            // `enqueue_woken`.
+            let (shared, _) = race_flush_against_two_idlers(false);
+            assert_none_stranded(&shared);
+        })
+        .expect_err("a dropped wake flush must be caught");
+    assert!(violation.message.contains("stranded"), "got: {violation}");
 }

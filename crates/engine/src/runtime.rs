@@ -838,6 +838,28 @@ mod tests {
     }
 
     #[test]
+    fn pool_batched_spout_path_records_max_depth() {
+        // A single-edge PKG spout takes the batched path, whose `push_run`
+        // folds the depth it saw while delivering a run. Behind a stalled
+        // consumer the mailbox fills, so the high-water mark must reach the
+        // capacity exactly, over both transports.
+        const CAP: usize = 8;
+        for spsc_rings in [true, false] {
+            let mut t = Topology::new();
+            let s = t.add_spout("src", 1, |_| spout_from_iter(word_stream(96, 5)));
+            let _ = t
+                .add_bolt("slow", 2, |_| {
+                    Box::new(StallBolt { per_tuple: Duration::from_micros(200), seen: 0 })
+                })
+                .input(s, Grouping::partial_key());
+            let opts = RuntimeOptions { spsc_rings, ..pool_opts(2, 32, CAP, 5) };
+            let stats = Runtime::with_options(opts).run(t);
+            assert_eq!(stats.processed("slow"), 96);
+            assert_eq!(stats.max_depth("slow"), CAP as u64, "rings={spsc_rings}: high-water");
+        }
+    }
+
+    #[test]
     fn thread_executor_stall_sleeps_inline_and_still_completes() {
         let mut t = Topology::new();
         let s = t.add_spout("src", 1, |_| spout_from_iter(word_stream(40, 7)));
