@@ -115,7 +115,7 @@ pub fn single_phase_summary(cfg: &HeavyHittersConfig) -> HhSummary {
     // Our topology adds the source as component 0 and the workers as
     // component 1, so the engine hashes their edge with this seed.
     let seed = pkg_engine::edge_seed(cfg.engine_seed, 0, 1);
-    let mut router = Router::new(&cfg.grouping, cfg.workers, seed, 0);
+    let mut router = Router::new(&cfg.grouping, cfg.workers, seed, 0, None);
     let mut summaries: Vec<HhSummary> = (0..cfg.workers).map(|_| HhSummary::identity()).collect();
     let spec = cfg.profile.build(cfg.stream_seed);
     for msg in spec.iter(cfg.stream_seed) {

@@ -173,14 +173,6 @@ impl AdaptiveChoices {
         &self.tracker
     }
 
-    /// Whether the *next* message of `key` routes as a head key. Uses the
-    /// same prediction as [`Partitioner::route`], so it must be consulted
-    /// *before* routing that message (`route` observes the key and can flip
-    /// the prediction for the one after).
-    pub fn is_head(&self, key: u64) -> bool {
-        self.next_head_d(key).is_some()
-    }
-
     /// Number of workers the scheme currently routes over: the live count
     /// under a membership subset, `n` otherwise.
     #[inline]
@@ -295,6 +287,11 @@ impl Partitioner for AdaptiveChoices {
             },
             Some(d) => (0..d).map(|i| self.choice(i, key)).collect(),
         }
+    }
+
+    /// `Some` exactly when the key's next message routes as a head key.
+    fn head_candidates(&self, key: u64) -> Option<Vec<usize>> {
+        self.next_head_d(key).map(|_| self.candidates(key))
     }
 
     fn resizable(&self) -> bool {
@@ -422,6 +419,29 @@ mod tests {
             let w = p.route(key, i);
             assert!(cands.contains(&w), "route {w} escaped candidates {cands:?} at t={i}");
         }
+    }
+
+    #[test]
+    fn head_candidates_are_the_head_keys_candidates_and_none_elsewhere() {
+        let n = 30;
+        let mut p = AdaptiveChoices::d_choices(n, Estimate::local(n), 0.1, 11);
+        let mut pkg = PartialKeyGrouping::new(n, 2, Estimate::local(n), 11);
+        let mut heads = 0;
+        for i in 0..20_000u64 {
+            let key = if i % 4 == 0 { 1 } else { i };
+            assert_eq!(pkg.head_candidates(key), None, "PKG has no head keys");
+            pkg.route(key, i);
+            let head = p.head_candidates(key);
+            let w = p.route(key, i);
+            match head {
+                Some(cands) => {
+                    heads += 1;
+                    assert!(cands.contains(&w), "route {w} escaped head candidates {cands:?}");
+                }
+                None => assert!(key != 1 || i < 1_000, "hot key 1 stayed tail at t={i}"),
+            }
+        }
+        assert!(heads > 4_000, "only {heads} head messages");
     }
 
     #[test]

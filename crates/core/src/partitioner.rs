@@ -48,6 +48,17 @@ pub trait Partitioner: Send {
         (0..self.n()).collect()
     }
 
+    /// The candidate workers of a *head* key's next message, in
+    /// hash-sequence order; `None` for tail keys and for schemes without a
+    /// head/tail split (only D-/W-Choices have one). Must be consulted
+    /// *before* [`Self::route`] for the same message, which observes the key
+    /// and can flip the prediction for the one after. Hedged dispatch picks
+    /// its fallback worker from this set.
+    fn head_candidates(&self, key: u64) -> Option<Vec<usize>> {
+        let _ = key;
+        None
+    }
+
     /// Whether this partitioner supports runtime membership changes via
     /// [`Self::apply_membership`]. Schemes whose assignment is frozen up
     /// front (Off-Greedy) stay `false`.
@@ -147,6 +158,19 @@ impl SchemeSpec {
     /// W-Choices with the default imbalance target.
     pub fn w_choices(estimate: EstimateKind) -> Self {
         SchemeSpec::WChoices { estimate, epsilon: DEFAULT_EPSILON }
+    }
+
+    /// The load estimation strategy of a load-consulting scheme; `None`
+    /// for the schemes that never read a load (KG, SG, Off-Greedy).
+    pub fn estimate(&self) -> Option<EstimateKind> {
+        match self {
+            SchemeSpec::Pkg { estimate, .. }
+            | SchemeSpec::StaticPotc { estimate }
+            | SchemeSpec::OnGreedy { estimate }
+            | SchemeSpec::DChoices { estimate, .. }
+            | SchemeSpec::WChoices { estimate, .. } => Some(*estimate),
+            SchemeSpec::KeyGrouping | SchemeSpec::ShuffleGrouping | SchemeSpec::OffGreedy => None,
+        }
     }
 
     /// Whether this scheme needs the full key-frequency histogram
@@ -281,6 +305,25 @@ mod tests {
         let b = SchemeSpec::pkg(EstimateKind::Local).build(10, 3, 1, &shared, None);
         for k in 0..200u64 {
             assert_eq!(a.candidates(k), b.candidates(k));
+        }
+    }
+
+    #[test]
+    fn estimate_is_some_exactly_for_load_consulting_schemes() {
+        let (local, global) = (EstimateKind::Local, EstimateKind::Global);
+        let probing = EstimateKind::Probing { period_ms: 60_000 };
+        for (spec, want) in [
+            (SchemeSpec::pkg(local), local),
+            (SchemeSpec::Pkg { d: 3, estimate: global }, global),
+            (SchemeSpec::StaticPotc { estimate: probing }, probing),
+            (SchemeSpec::OnGreedy { estimate: local }, local),
+            (SchemeSpec::d_choices(global), global),
+            (SchemeSpec::w_choices(probing), probing),
+        ] {
+            assert_eq!(spec.estimate(), Some(want), "{}", spec.label());
+        }
+        for spec in [SchemeSpec::KeyGrouping, SchemeSpec::ShuffleGrouping, SchemeSpec::OffGreedy] {
+            assert_eq!(spec.estimate(), None, "{}", spec.label());
         }
     }
 

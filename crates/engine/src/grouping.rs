@@ -1,62 +1,38 @@
 //! Stream groupings — how an edge partitions tuples among the downstream
-//! instances. These mirror Storm's groupings plus the paper's new primitive.
+//! instances. Storm's groupings plus every scheme the simulator runs: an
+//! edge's routing is built by [`SchemeSpec::build`], so the engine and the
+//! simulator make the same decision for the same per-sender key sequence.
 
 use std::sync::Arc;
 
-use pkg_core::{
-    AdaptiveChoices, ChoiceConfig, ChoiceStrategy, Estimate, HotAwarePkg, PartialKeyGrouping,
-    Partitioner as _, SharedLoads, DEFAULT_EPSILON,
-};
+use pkg_core::{EstimateKind, Partitioner, SchemeSpec, SharedLoads};
 use pkg_elastic::MembershipPlan;
 
 /// Partitioning strategy of one topology edge.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Grouping {
-    /// Round-robin (Storm's shuffle grouping).
+    /// Round-robin (Storm's shuffle grouping); shorthand for
+    /// [`SchemeSpec::ShuffleGrouping`].
     Shuffle,
-    /// Hash on the key (Storm's fields grouping / the paper's KG).
+    /// Hash on the key (Storm's fields grouping / the paper's KG);
+    /// shorthand for [`SchemeSpec::KeyGrouping`].
     Key,
-    /// PARTIAL KEY GROUPING: `d` hash choices, pick the one with the lowest
-    /// locally-estimated load (§III; `d = 2` in the paper).
-    Partial {
-        /// Number of candidate workers per key.
-        d: usize,
-    },
-    /// Hot-aware PKG (an ad-hoc precursor of the W-Choices extension): keys
-    /// locally estimated to exceed `hot_threshold` of the sender's traffic
-    /// may use `d_hot` candidates; everything else uses plain two-choice
-    /// PKG. Prefer [`Grouping::DChoices`]/[`Grouping::WChoices`], which
-    /// implement the journal's candidate-count rule.
-    PartialHot {
-        /// Frequency fraction above which a key counts as hot.
-        hot_threshold: f64,
-        /// Choices for hot keys (`usize::MAX` = all instances).
-        d_hot: usize,
-    },
-    /// D-CHOICES (the journal follow-up's adaptive scheme): keys whose
-    /// locally-estimated frequency crosses `θ = 2(1+ε)/n` get
-    /// `⌈p̂·n/(1+ε)⌉` candidates from their hash sequence; tail keys route
-    /// exactly like [`Grouping::Partial`] with `d = 2`. Use when the
-    /// downstream parallelism exceeds `O(1/p1)`.
-    DChoices {
-        /// Relative imbalance target `ε`.
-        epsilon: f64,
-    },
-    /// W-CHOICES: like [`Grouping::DChoices`] but head keys may go to
-    /// *every* downstream instance (lowest replication-vs-balance latency,
-    /// highest aggregation cost).
-    WChoices {
-        /// Relative imbalance target `ε`.
-        epsilon: f64,
-    },
-    /// Elastic PKG: [`Grouping::Partial`] routing confined to the live
-    /// worker set of a [`MembershipPlan`]. Each sender replays the plan
-    /// against its own routed-tuple count; on crossing a threshold it
-    /// broadcasts an in-band epoch marker (see [`crate::elastic`]) to every
-    /// downstream instance, then routes new tuples over the new live set.
+    /// Any scheme the simulator runs: PKG (§III), PoTC, On-Greedy and the
+    /// journal's D-/W-Choices. Every sender owns its own partitioner, so
+    /// [`EstimateKind::Local`] is the paper's per-source estimation; the
+    /// engine's only shared estimate is [`crate::LoadSignalOptions`], which
+    /// [`crate::Topology::validate`] enforces by rejecting `Global` and
+    /// `Probing` specs (and Off-Greedy, which needs the full histogram).
+    Scheme(SchemeSpec),
+    /// `scheme` confined to the live worker set of a [`MembershipPlan`].
+    /// Each sender replays the plan against its own routed-tuple count; on
+    /// crossing a threshold it broadcasts an in-band epoch marker (see
+    /// [`crate::elastic`]) to every downstream instance, then routes new
+    /// tuples over the new live set. Estimation stays per-sender local.
     Elastic {
-        /// Number of candidate workers per key (`2` = the paper's PKG).
-        d: usize,
+        /// The routing scheme; must be resizable (every scheme but
+        /// Off-Greedy is).
+        scheme: SchemeSpec,
         /// The scripted membership schedule, shared by every sender.
         plan: Arc<MembershipPlan>,
     },
@@ -68,24 +44,35 @@ pub enum Grouping {
 }
 
 impl Grouping {
-    /// The paper's PKG with two choices.
+    /// The paper's PKG: two choices, local load estimation.
     pub fn partial_key() -> Self {
-        Grouping::Partial { d: 2 }
+        Grouping::Scheme(SchemeSpec::pkg(EstimateKind::Local))
     }
 
-    /// D-Choices with the default imbalance target.
+    /// D-Choices with the default imbalance target and local estimation.
     pub fn d_choices() -> Self {
-        Grouping::DChoices { epsilon: DEFAULT_EPSILON }
+        Grouping::Scheme(SchemeSpec::d_choices(EstimateKind::Local))
     }
 
-    /// W-Choices with the default imbalance target.
+    /// W-Choices with the default imbalance target and local estimation.
     pub fn w_choices() -> Self {
-        Grouping::WChoices { epsilon: DEFAULT_EPSILON }
+        Grouping::Scheme(SchemeSpec::w_choices(EstimateKind::Local))
     }
 
     /// Elastic PKG (two choices) following `plan`.
     pub fn elastic(plan: MembershipPlan) -> Self {
-        Grouping::Elastic { d: 2, plan: Arc::new(plan) }
+        Grouping::Elastic { scheme: SchemeSpec::pkg(EstimateKind::Local), plan: Arc::new(plan) }
+    }
+
+    /// The scheme that routes this edge; `None` for `Global` and
+    /// `Broadcast`, which need no partitioner.
+    pub(crate) fn scheme(&self) -> Option<SchemeSpec> {
+        match self {
+            Grouping::Shuffle => Some(SchemeSpec::ShuffleGrouping),
+            Grouping::Key => Some(SchemeSpec::KeyGrouping),
+            Grouping::Scheme(spec) | Grouping::Elastic { scheme: spec, .. } => Some(spec.clone()),
+            Grouping::Global | Grouping::Broadcast => None,
+        }
     }
 }
 
@@ -107,7 +94,7 @@ pub enum Target {
 #[derive(Debug, Default)]
 pub struct TargetBatch {
     /// Destination of tuple `i`, in stream order.
-    dests: Vec<u32>,
+    dests: Vec<usize>,
     /// Tuple indices stably sorted by destination.
     order: Vec<u32>,
     /// `(dest, start, end)` ranges into `order`, ascending by `dest`, one
@@ -123,9 +110,8 @@ impl TargetBatch {
         Self::default()
     }
 
-    fn begin(&mut self, keys: usize) {
+    fn begin(&mut self) {
         self.dests.clear();
-        self.dests.reserve(keys);
         self.order.clear();
         self.runs.clear();
     }
@@ -136,7 +122,7 @@ impl TargetBatch {
         self.counts.clear();
         self.counts.resize(n, 0);
         for &d in &self.dests {
-            self.counts[d as usize] += 1;
+            self.counts[d] += 1;
         }
         // Prefix sums: counts[d] becomes the start cursor of d's run.
         let mut start = 0u32;
@@ -150,7 +136,7 @@ impl TargetBatch {
         }
         self.order.resize(self.dests.len(), 0);
         for (i, &d) in self.dests.iter().enumerate() {
-            let pos = &mut self.counts[d as usize];
+            let pos = &mut self.counts[d];
             self.order[*pos as usize] = i as u32;
             *pos += 1;
         }
@@ -158,7 +144,7 @@ impl TargetBatch {
 
     /// Destination of tuple `i`, in stream order.
     pub fn dest(&self, i: usize) -> usize {
-        self.dests[i] as usize
+        self.dests[i]
     }
 
     /// Number of routed tuples in the batch.
@@ -177,27 +163,34 @@ impl TargetBatch {
     }
 }
 
-/// Per-sender routing state for one outgoing edge.
+/// Per-sender routing state for one outgoing edge: a thin adapter over the
+/// `pkg_core` partitioner the edge's scheme builds.
 ///
-/// Every upstream instance owns its own `Router` — for `Partial` this is
-/// what makes load estimation *local*: the router's estimate counts only the
-/// tuples this sender routed, per §III-B.
-#[derive(Debug)]
+/// Every upstream instance owns its own `Router` — for load-consulting
+/// schemes this is what makes load estimation *local*: the partitioner's
+/// estimate counts only the tuples this sender routed, per §III-B.
 pub struct Router {
     kind: RouterKind,
     n: usize,
 }
 
-#[derive(Debug)]
 enum RouterKind {
-    Shuffle { next: usize },
-    Key { seed: u64 },
-    Partial { pkg: PartialKeyGrouping },
-    PartialHot { pkg: HotAwarePkg },
-    Adaptive { choices: AdaptiveChoices },
-    Elastic { pkg: PartialKeyGrouping, plan: Arc<MembershipPlan>, routed: u64, next_epoch: u32 },
+    /// Every [`Grouping`] with a [`SchemeSpec`]; `epochs` is `Some` on
+    /// elastic edges.
+    Scheme {
+        partitioner: Box<dyn Partitioner>,
+        epochs: Option<EpochReplay>,
+    },
     Global,
     Broadcast,
+}
+
+/// A sender's replay of an elastic edge's [`MembershipPlan`].
+struct EpochReplay {
+    plan: Arc<MembershipPlan>,
+    /// Tuples this sender has routed on the edge.
+    routed: u64,
+    next_epoch: u32,
 }
 
 impl Router {
@@ -205,17 +198,14 @@ impl Router {
     ///
     /// `seed` must be shared by all senders on the edge (so they agree on
     /// hash candidates); `sender_index` staggers shuffle's round-robin.
-    /// Load-consulting groupings estimate locally — the paper's default.
-    pub fn new(grouping: &Grouping, n: usize, seed: u64, sender_index: usize) -> Self {
-        Self::with_shared(grouping, n, seed, sender_index, None)
-    }
-
-    /// Like [`Router::new`], but when `shared` is given the load-consulting
-    /// groupings minimize its pluggable load *signal* instead of a local
-    /// tuple count. Pending/latency signals are shared feedback by nature,
-    /// so adaptive metrics imply global estimation; `None` keeps the
-    /// paper's local estimation byte-identically.
-    pub fn with_shared(
+    /// With `shared` given (a destination's signal-bearing loads, see
+    /// [`crate::LoadSignalOptions`]), load-consulting schemes minimize its
+    /// pluggable load *signal* instead of a local tuple count: pending/latency
+    /// signals are shared feedback by nature, so [`EstimateKind::build`] makes
+    /// every estimate global over them. `None` keeps the paper's local
+    /// estimation. Elastic edges always estimate locally: their replay is
+    /// defined over the sender's own routed count.
+    pub fn new(
         grouping: &Grouping,
         n: usize,
         seed: u64,
@@ -223,95 +213,61 @@ impl Router {
         shared: Option<&SharedLoads>,
     ) -> Self {
         assert!(n > 0, "edges need at least one downstream instance");
-        let estimate = || match shared {
-            Some(s) => {
-                assert_eq!(s.n(), n, "shared loads must cover every downstream instance");
-                Estimate::global(s.clone())
-            }
-            None => Estimate::local(n),
+        let Some(spec) = grouping.scheme() else {
+            let kind = match grouping {
+                Grouping::Broadcast => RouterKind::Broadcast,
+                _ => RouterKind::Global,
+            };
+            return Self { kind, n };
         };
-        let kind = match grouping {
-            Grouping::Shuffle => RouterKind::Shuffle { next: sender_index % n },
-            Grouping::Key => RouterKind::Key { seed },
-            Grouping::Partial { d } => {
-                RouterKind::Partial { pkg: PartialKeyGrouping::new(n, *d, estimate(), seed) }
-            }
-            Grouping::PartialHot { hot_threshold, d_hot } => RouterKind::PartialHot {
-                pkg: HotAwarePkg::new(n, estimate(), *hot_threshold, (*d_hot).min(n).max(2), seed),
-            },
-            Grouping::DChoices { epsilon } => RouterKind::Adaptive {
-                choices: AdaptiveChoices::new(
-                    n,
-                    ChoiceStrategy::DChoices,
-                    ChoiceConfig::new(*epsilon),
-                    estimate(),
-                    seed,
-                ),
-            },
-            Grouping::WChoices { epsilon } => RouterKind::Adaptive {
-                choices: AdaptiveChoices::new(
-                    n,
-                    ChoiceStrategy::WChoices,
-                    ChoiceConfig::new(*epsilon),
-                    estimate(),
-                    seed,
-                ),
-            },
-            Grouping::Elastic { d, plan } => {
+        let epochs = match grouping {
+            Grouping::Elastic { plan, .. } => {
                 assert_eq!(
                     plan.capacity(),
                     n,
                     "membership plan id space must match the downstream instance count"
                 );
-                let mut pkg = PartialKeyGrouping::new(n, *d, Estimate::local(n), seed);
-                pkg.apply_membership(plan.live(0));
-                RouterKind::Elastic { pkg, plan: Arc::clone(plan), routed: 0, next_epoch: 1 }
+                Some(EpochReplay { plan: Arc::clone(plan), routed: 0, next_epoch: 1 })
             }
-            Grouping::Global => RouterKind::Global,
-            Grouping::Broadcast => RouterKind::Broadcast,
+            _ => None,
         };
-        Self { kind, n }
+        let loads = match shared {
+            Some(s) if epochs.is_none() => {
+                assert_eq!(s.n(), n, "shared loads must cover every downstream instance");
+                s.clone()
+            }
+            _ => SharedLoads::new(n),
+        };
+        let mut partitioner = spec.build(n, seed, sender_index, &loads, None);
+        if let Some(replay) = &epochs {
+            partitioner.apply_membership(replay.plan.live(0));
+        }
+        Self { kind: RouterKind::Scheme { partitioner, epochs }, n }
     }
 
     /// Route a tuple key.
     #[inline]
     pub fn route(&mut self, key_id: u64) -> Target {
         match &mut self.kind {
-            RouterKind::Shuffle { next } => {
-                let t = *next;
-                *next += 1;
-                if *next == self.n {
-                    *next = 0;
+            RouterKind::Scheme { partitioner, epochs } => {
+                if let Some(replay) = epochs {
+                    replay.routed += 1;
                 }
-                Target::One(t)
-            }
-            RouterKind::Key { seed } => {
-                use pkg_hash::StreamKey;
-                Target::One((key_id.hash_seeded(*seed) % self.n as u64) as usize)
-            }
-            RouterKind::Partial { pkg } => Target::One(pkg.route(key_id, 0)),
-            RouterKind::PartialHot { pkg } => Target::One(pkg.route(key_id, 0)),
-            RouterKind::Adaptive { choices } => Target::One(choices.route(key_id, 0)),
-            RouterKind::Elastic { pkg, routed, .. } => {
-                *routed += 1;
-                Target::One(pkg.route(key_id, 0))
+                Target::One(partitioner.route(key_id, 0))
             }
             RouterKind::Global => Target::One(0),
             RouterKind::Broadcast => Target::All,
         }
     }
 
-    /// Candidate instances for a *head* key's next message under an
-    /// adaptive (D-/W-Choices) grouping, in hash-sequence order; `None` for
-    /// tail keys and every other grouping. Must be consulted *before*
-    /// [`Router::route`] for the same message — routing observes the key,
-    /// which can flip the head prediction for the one after. The hedged
-    /// dispatcher uses this to pick the fallback instance.
+    /// [`Partitioner::head_candidates`] of this edge's scheme: the
+    /// candidates of a head key's next message, `None` for tail keys and
+    /// schemes without a head/tail split. Must be consulted *before*
+    /// [`Router::route`] for the same message. The hedged dispatcher uses
+    /// this to pick the fallback instance.
     pub fn head_candidates(&self, key_id: u64) -> Option<Vec<usize>> {
         match &self.kind {
-            RouterKind::Adaptive { choices } if choices.is_head(key_id) => {
-                Some(choices.candidates(key_id))
-            }
+            RouterKind::Scheme { partitioner, .. } => partitioner.head_candidates(key_id),
             _ => None,
         }
     }
@@ -325,24 +281,16 @@ impl Router {
     /// from new-epoch traffic. `None` for non-elastic groupings and between
     /// thresholds.
     pub fn advance_epoch(&mut self) -> Option<u32> {
-        match &mut self.kind {
-            RouterKind::Elastic { pkg, plan, routed, next_epoch } => {
-                if *next_epoch < plan.epochs() && *routed >= plan.threshold(*next_epoch) {
-                    let epoch = *next_epoch;
-                    pkg.apply_membership(plan.live(epoch));
-                    *next_epoch += 1;
-                    Some(epoch)
-                } else {
-                    None
-                }
-            }
-            _ => None,
+        let RouterKind::Scheme { partitioner, epochs: Some(replay) } = &mut self.kind else {
+            return None;
+        };
+        let epoch = replay.next_epoch;
+        if epoch >= replay.plan.epochs() || replay.routed < replay.plan.threshold(epoch) {
+            return None;
         }
-    }
-
-    /// Downstream instance count.
-    pub fn n(&self) -> usize {
-        self.n
+        partitioner.apply_membership(replay.plan.live(epoch));
+        replay.next_epoch += 1;
+        Some(epoch)
     }
 
     /// Whether [`Router::route_batch`] may be used for this edge.
@@ -355,47 +303,26 @@ impl Router {
     /// the batch size, so deferring delivery (not the decision — decisions
     /// stay per-tuple, in stream order) changes nothing.
     pub fn is_batchable(&self) -> bool {
-        !matches!(self.kind, RouterKind::Elastic { .. } | RouterKind::Broadcast)
+        matches!(self.kind, RouterKind::Scheme { epochs: None, .. } | RouterKind::Global)
     }
 
-    /// Route a whole batch of key fingerprints in one pass, grouping the
-    /// results by destination in `out`.
+    /// Route a whole batch of key fingerprints with one
+    /// [`Partitioner::route_batch`] call, grouping the results by
+    /// destination in `out`.
     ///
     /// Decisions are made per key **in stream order** with exactly the same
     /// state updates as [`Router::route`], so the chosen destinations are
-    /// byte-identical to the one-at-a-time path (pinned by proptest); only
-    /// the *delivery* is grouped. Callers must check
+    /// byte-identical to the one-at-a-time path (pinned by the tests below);
+    /// only the *delivery* is grouped. Callers must check
     /// [`Router::is_batchable`] first.
     pub fn route_batch(&mut self, keys: &[u64], out: &mut TargetBatch) {
-        out.begin(keys.len());
+        out.begin();
         match &mut self.kind {
-            RouterKind::Shuffle { next } => {
-                for _ in keys {
-                    out.dests.push(*next as u32);
-                    *next += 1;
-                    if *next == self.n {
-                        *next = 0;
-                    }
-                }
+            RouterKind::Scheme { partitioner, epochs: None } => {
+                partitioner.route_batch(keys, 0, &mut out.dests)
             }
-            RouterKind::Key { seed } => {
-                use pkg_hash::StreamKey;
-                let (seed, n) = (*seed, self.n as u64);
-                out.dests.extend(keys.iter().map(|k| (k.hash_seeded(seed) % n) as u32));
-            }
-            RouterKind::Partial { pkg } => {
-                out.dests.extend(keys.iter().map(|&k| pkg.route(k, 0) as u32));
-            }
-            RouterKind::PartialHot { pkg } => {
-                out.dests.extend(keys.iter().map(|&k| pkg.route(k, 0) as u32));
-            }
-            RouterKind::Adaptive { choices } => {
-                out.dests.extend(keys.iter().map(|&k| choices.route(k, 0) as u32));
-            }
-            RouterKind::Global => {
-                out.dests.extend(keys.iter().map(|_| 0u32));
-            }
-            RouterKind::Elastic { .. } | RouterKind::Broadcast => {
+            RouterKind::Global => out.dests.resize(keys.len(), 0),
+            RouterKind::Scheme { .. } | RouterKind::Broadcast => {
                 unreachable!("caller checks is_batchable before routing a batch")
             }
         }
@@ -406,11 +333,26 @@ impl Router {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pkg_elastic::{Change, MembershipPlan};
+
+    fn router(grouping: &Grouping, n: usize, seed: u64, sender_index: usize) -> Router {
+        Router::new(grouping, n, seed, sender_index, None)
+    }
+
+    /// The resizable schemes an elastic edge is exercised over.
+    fn resizable_schemes() -> [SchemeSpec; 4] {
+        [
+            SchemeSpec::KeyGrouping,
+            SchemeSpec::pkg(EstimateKind::Local),
+            SchemeSpec::d_choices(EstimateKind::Local),
+            SchemeSpec::w_choices(EstimateKind::Local),
+        ]
+    }
 
     #[test]
     fn key_routing_is_consistent_across_senders() {
-        let mut a = Router::new(&Grouping::Key, 8, 7, 0);
-        let mut b = Router::new(&Grouping::Key, 8, 7, 3);
+        let mut a = router(&Grouping::Key, 8, 7, 0);
+        let mut b = router(&Grouping::Key, 8, 7, 3);
         for k in 0..100u64 {
             assert_eq!(a.route(k), b.route(k));
         }
@@ -418,7 +360,7 @@ mod tests {
 
     #[test]
     fn partial_splits_hot_key_over_two_instances() {
-        let mut r = Router::new(&Grouping::partial_key(), 10, 3, 0);
+        let mut r = router(&Grouping::partial_key(), 10, 3, 0);
         let mut hit = std::collections::HashSet::new();
         for _ in 0..100 {
             if let Target::One(t) = r.route(42) {
@@ -430,38 +372,16 @@ mod tests {
 
     #[test]
     fn shuffle_staggers_by_sender() {
-        let mut a = Router::new(&Grouping::Shuffle, 4, 0, 0);
-        let mut b = Router::new(&Grouping::Shuffle, 4, 0, 1);
+        let mut a = router(&Grouping::Shuffle, 4, 0, 0);
+        let mut b = router(&Grouping::Shuffle, 4, 0, 1);
         assert_eq!(a.route(0), Target::One(0));
         assert_eq!(b.route(0), Target::One(1));
     }
 
     #[test]
-    fn partial_hot_spreads_extreme_key_past_two() {
-        let n = 16;
-        let mut r =
-            Router::new(&Grouping::PartialHot { hot_threshold: 0.02, d_hot: usize::MAX }, n, 5, 0);
-        let mut hot_targets = std::collections::HashSet::new();
-        for i in 0..20_000u64 {
-            // 50% of traffic on key 0, rest unique.
-            let key = if i % 2 == 0 { 0 } else { i + 1 };
-            if let Target::One(t) = r.route(key) {
-                if key == 0 {
-                    hot_targets.insert(t);
-                }
-            }
-        }
-        assert!(
-            hot_targets.len() > 2,
-            "hot key stayed on {} instances; W-Choices must widen it",
-            hot_targets.len()
-        );
-    }
-
-    #[test]
     fn d_choices_widens_hot_key_and_keeps_tail_at_two() {
         let n = 32;
-        let mut r = Router::new(&Grouping::d_choices(), n, 5, 0);
+        let mut r = router(&Grouping::d_choices(), n, 5, 0);
         let mut hot_targets = std::collections::HashSet::new();
         let mut tail_targets: std::collections::HashMap<u64, std::collections::HashSet<usize>> =
             std::collections::HashMap::new();
@@ -492,7 +412,7 @@ mod tests {
     fn w_choices_spreads_extreme_key_past_d_choices() {
         let n = 24;
         let run = |grouping: Grouping| {
-            let mut r = Router::new(&grouping, n, 7, 0);
+            let mut r = router(&grouping, n, 7, 0);
             let mut hot = std::collections::HashSet::new();
             for i in 0..30_000u64 {
                 let key = if i % 2 == 0 { 0 } else { i + 1 };
@@ -513,66 +433,91 @@ mod tests {
 
     #[test]
     fn elastic_replays_plan_and_confines_routing_to_live_set() {
-        use pkg_elastic::{Change, MembershipPlan};
         let plan = MembershipPlan::new(4)
             .with_step(100, [Change::Remove(3)])
             .with_step(200, [Change::Insert(3)]);
-        let mut r = Router::new(&Grouping::elastic(plan), 4, 9, 0);
-        assert_eq!(r.advance_epoch(), None, "epoch 0 needs no announcement");
-        let mut epochs = Vec::new();
-        let mut hit_while_dead = false;
-        for (routed, k) in (0u64..300).enumerate() {
-            let routed = routed as u64;
-            while let Some(e) = r.advance_epoch() {
-                epochs.push((routed, e));
-            }
-            if let Target::One(w) = r.route(k) {
-                if (100..200).contains(&routed) && w == 3 {
-                    hit_while_dead = true;
+        for scheme in resizable_schemes() {
+            let grouping =
+                Grouping::Elastic { scheme: scheme.clone(), plan: Arc::new(plan.clone()) };
+            let mut r = router(&grouping, 4, 9, 0);
+            assert_eq!(r.advance_epoch(), None, "epoch 0 needs no announcement");
+            let mut epochs = Vec::new();
+            for (routed, k) in (0u64..300).enumerate() {
+                let routed = routed as u64;
+                while let Some(e) = r.advance_epoch() {
+                    epochs.push((routed, e));
+                }
+                // A skewed stream, so D-/W-Choices also take their head path.
+                let key = if k % 2 == 0 { 0 } else { k };
+                if (100..200).contains(&routed) {
+                    assert_ne!(r.route(key), Target::One(3), "{scheme:?} routed to dead 3");
+                } else {
+                    r.route(key);
                 }
             }
+            assert_eq!(epochs, vec![(100, 1), (200, 2)], "{scheme:?}");
+            assert_eq!(r.advance_epoch(), None, "plan exhausted");
         }
-        assert_eq!(epochs, vec![(100, 1), (200, 2)]);
-        assert!(!hit_while_dead, "no tuple may route to a dead instance");
-        assert_eq!(r.advance_epoch(), None, "plan exhausted");
     }
 
     #[test]
     fn elastic_senders_agree_on_candidates_with_static_partial() {
-        // An elastic edge whose plan never changes routes exactly like
-        // Partial — markers aside, the schemes are byte-identical.
-        use pkg_elastic::MembershipPlan;
-        let mut a = Router::new(&Grouping::elastic(MembershipPlan::new(8)), 8, 3, 0);
-        let mut b = Router::new(&Grouping::partial_key(), 8, 3, 0);
-        for k in 0..2_000u64 {
-            assert_eq!(a.advance_epoch(), None);
-            assert_eq!(a.route(k % 37), b.route(k % 37));
+        // An elastic edge whose plan never changes routes exactly like the
+        // static scheme — markers aside, the two are byte-identical.
+        for scheme in resizable_schemes() {
+            let elastic = Grouping::Elastic {
+                scheme: scheme.clone(),
+                plan: Arc::new(MembershipPlan::new(8)),
+            };
+            let mut a = router(&elastic, 8, 3, 0);
+            let mut b = router(&Grouping::Scheme(scheme.clone()), 8, 3, 0);
+            for k in 0..2_000u64 {
+                let key = if k % 3 == 0 { 0 } else { k % 37 };
+                assert_eq!(a.advance_epoch(), None);
+                assert_eq!(a.route(key), b.route(key), "{scheme:?} diverged at message {k}");
+            }
         }
     }
 
+    /// The engine-vs-simulator routing oracle: for every scheme the engine
+    /// accepts, per-tuple [`Router::route`], [`Router::route_batch`] and an
+    /// independently built simulator partitioner agree byte for byte.
     #[test]
     fn route_batch_matches_per_tuple_route_for_every_batchable_grouping() {
+        let local = EstimateKind::Local;
         let groupings = [
             Grouping::Shuffle,
             Grouping::Key,
+            Grouping::Scheme(SchemeSpec::KeyGrouping),
+            Grouping::Scheme(SchemeSpec::ShuffleGrouping),
             Grouping::partial_key(),
-            Grouping::PartialHot { hot_threshold: 0.05, d_hot: 6 },
+            Grouping::Scheme(SchemeSpec::Pkg { d: 3, estimate: local }),
+            Grouping::Scheme(SchemeSpec::StaticPotc { estimate: local }),
+            Grouping::Scheme(SchemeSpec::OnGreedy { estimate: local }),
             Grouping::d_choices(),
             Grouping::w_choices(),
             Grouping::Global,
         ];
         // A skewed stream: key 0 is hot, the tail cycles.
         let keys: Vec<u64> = (0..5_000u64).map(|i| if i % 3 == 0 { 0 } else { i % 97 }).collect();
-        for g in groupings {
-            let mut one = Router::new(&g, 12, 11, 2);
-            let mut batched = Router::new(&g, 12, 11, 2);
-            assert!(batched.is_batchable());
-            let mut out = TargetBatch::new();
-            for chunk in keys.chunks(64) {
-                batched.route_batch(chunk, &mut out);
-                assert_eq!(out.len(), chunk.len());
-                for (i, &k) in chunk.iter().enumerate() {
-                    assert_eq!(one.route(k), Target::One(out.dest(i)), "{g:?} diverged at key {k}");
+        for (n, seed, sender) in [(12, 11, 2), (2, 0, 0), (7, 0xdead_beef, 5), (50, 3, 49)] {
+            for g in &groupings {
+                let mut one = router(g, n, seed, sender);
+                let mut batched = router(g, n, seed, sender);
+                // `None` (Global) routes everything to instance 0.
+                let mut oracle =
+                    g.scheme().map(|s| s.build(n, seed, sender, &SharedLoads::new(n), None));
+                assert!(batched.is_batchable());
+                let mut out = TargetBatch::new();
+                for chunk in keys.chunks(64) {
+                    batched.route_batch(chunk, &mut out);
+                    assert_eq!(out.len(), chunk.len());
+                    for (i, &k) in chunk.iter().enumerate() {
+                        let want = oracle.as_mut().map_or(0, |p| p.route(k, 0));
+                        let at = format!("{g:?} (n={n}, seed={seed}, sender={sender}) at key {k}");
+                        assert_eq!(one.route(k), Target::One(want), "route vs oracle: {at}");
+                        assert_eq!(out.dest(i), want, "route_batch vs oracle: {at}");
+                    }
                 }
             }
         }
@@ -580,7 +525,7 @@ mod tests {
 
     #[test]
     fn target_batch_runs_group_stably_by_destination() {
-        let mut r = Router::new(&Grouping::Key, 4, 3, 0);
+        let mut r = router(&Grouping::Key, 4, 3, 0);
         let keys: Vec<u64> = (0..257).collect();
         let mut out = TargetBatch::new();
         r.route_batch(&keys, &mut out);
@@ -603,15 +548,14 @@ mod tests {
 
     #[test]
     fn elastic_and_broadcast_are_not_batchable() {
-        use pkg_elastic::MembershipPlan;
-        assert!(!Router::new(&Grouping::elastic(MembershipPlan::new(4)), 4, 0, 0).is_batchable());
-        assert!(!Router::new(&Grouping::Broadcast, 4, 0, 0).is_batchable());
+        assert!(!router(&Grouping::elastic(MembershipPlan::new(4)), 4, 0, 0).is_batchable());
+        assert!(!router(&Grouping::Broadcast, 4, 0, 0).is_batchable());
     }
 
     #[test]
     fn global_always_zero_broadcast_always_all() {
-        let mut g = Router::new(&Grouping::Global, 5, 0, 2);
-        let mut b = Router::new(&Grouping::Broadcast, 5, 0, 2);
+        let mut g = router(&Grouping::Global, 5, 0, 2);
+        let mut b = router(&Grouping::Broadcast, 5, 0, 2);
         assert_eq!(g.route(9), Target::One(0));
         assert_eq!(b.route(9), Target::All);
     }

@@ -11,9 +11,11 @@
 //! backpressure on its sources (exactly the mechanism that makes load
 //! imbalance destroy throughput), and stream partitioning is pluggable
 //! per edge via [`grouping::Grouping`] — including
-//! [`grouping::Grouping::Partial`], the paper's contribution, implemented on
-//! top of `pkg_core::PartialKeyGrouping` with per-sender **local** load
-//! estimation, just as the reference Storm `CustomStreamGrouping` does.
+//! [`grouping::Grouping::partial_key`], the paper's contribution. Every
+//! edge routes through the partitioner `pkg_core::SchemeSpec::build`
+//! makes for the simulator, one per sender, so PKG keeps per-sender
+//! **local** load estimation, just as the reference Storm
+//! `CustomStreamGrouping` does.
 //!
 //! ```
 //! use pkg_engine::prelude::*;

@@ -1,14 +1,16 @@
 //! Engine-side wiring of the pluggable load signals.
 //!
 //! [`LoadSignalOptions`] selects which load *signal* the load-consulting
-//! groupings (`Partial`, `PartialHot`, `DChoices`, `WChoices`) minimize,
-//! and whether an online [`CapacityEstimator`] re-derives per-instance
-//! capacity weights from observed service times. When set, every component
-//! that is the destination of at least one load-consulting edge gets one
-//! shared [`SharedLoads`] — all senders route on the same signal, fed by
-//! real observations: dispatches from the emitters, completions (with the
-//! tuple's capacity-scaled `stalled_ns` as the service-time sample) from
-//! the executors, under both executor modes identically.
+//! [`Grouping::Scheme`] edges minimize (those whose
+//! [`pkg_core::SchemeSpec::estimate`] is `Some`: PKG, PoTC, On-Greedy,
+//! D-/W-Choices), and whether an online [`CapacityEstimator`] re-derives
+//! per-instance capacity weights from observed service times. When set,
+//! every component that is the destination of at least one load-consulting
+//! edge gets one shared [`SharedLoads`] — all senders route on the same
+//! signal, fed by real observations: dispatches from the emitters,
+//! completions (with the tuple's capacity-scaled `stalled_ns` as the
+//! service-time sample) from the executors, under both executor modes
+//! identically.
 //!
 //! The default (`None`, or `TupleCount` with no estimator) attaches
 //! nothing: the builders below return `None` per component and every
@@ -53,19 +55,6 @@ impl LoadSignalOptions {
     }
 }
 
-/// Whether a grouping consults downstream load when routing. (`Elastic`
-/// deliberately stays on per-sender local estimation: its epoch replay is
-/// defined over the sender's own routed count.)
-pub(crate) fn consults_load(grouping: &Grouping) -> bool {
-    matches!(
-        grouping,
-        Grouping::Partial { .. }
-            | Grouping::PartialHot { .. }
-            | Grouping::DChoices { .. }
-            | Grouping::WChoices { .. }
-    )
-}
-
 /// One shared load-signal handle per destination component: `Some` exactly
 /// for components fed by a load-consulting edge when `load` selects a
 /// non-default configuration. `parallelism[c]` is component `c`'s instance
@@ -81,7 +70,10 @@ pub(crate) fn component_signals(
     };
     for edges in out_edges {
         for (to, grouping, _) in edges {
-            if consults_load(grouping) && shared[*to].is_none() {
+            // Elastic edges stay on per-sender local estimation: their
+            // epoch replay is defined over the sender's own routed count.
+            let consults_load = matches!(grouping, Grouping::Scheme(s) if s.estimate().is_some());
+            if consults_load && shared[*to].is_none() {
                 let estimator = opts
                     .estimator_window
                     .map(|w| Arc::new(CapacityEstimator::new(parallelism[*to], w)));
@@ -100,18 +92,24 @@ pub(crate) fn component_signals(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pkg_core::{EstimateKind, SchemeSpec};
 
     #[test]
     fn load_consulting_groupings_are_exactly_the_greedy_ones() {
-        assert!(consults_load(&Grouping::partial_key()));
-        assert!(consults_load(&Grouping::PartialHot { hot_threshold: 0.1, d_hot: 4 }));
-        assert!(consults_load(&Grouping::d_choices()));
-        assert!(consults_load(&Grouping::w_choices()));
-        assert!(!consults_load(&Grouping::Shuffle));
-        assert!(!consults_load(&Grouping::Key));
-        assert!(!consults_load(&Grouping::Global));
-        assert!(!consults_load(&Grouping::Broadcast));
-        assert!(!consults_load(&Grouping::elastic(pkg_elastic::MembershipPlan::new(4))));
+        let opts = LoadSignalOptions::adaptive();
+        let consults = |grouping: Grouping| {
+            let edges = vec![vec![(1usize, grouping, 7u64)]];
+            component_signals(Some(&opts), &edges, &[1, 4])[1].is_some()
+        };
+        assert!(consults(Grouping::partial_key()));
+        assert!(consults(Grouping::d_choices()));
+        assert!(consults(Grouping::w_choices()));
+        assert!(consults(Grouping::Scheme(SchemeSpec::OnGreedy { estimate: EstimateKind::Local })));
+        assert!(!consults(Grouping::Shuffle));
+        assert!(!consults(Grouping::Key));
+        assert!(!consults(Grouping::Global));
+        assert!(!consults(Grouping::Broadcast));
+        assert!(!consults(Grouping::elastic(pkg_elastic::MembershipPlan::new(4))));
     }
 
     #[test]

@@ -1144,7 +1144,7 @@ pub(crate) fn run_pool(
             let edges: Vec<OutEdge> = out_edges[ci]
                 .iter()
                 .map(|(to, grouping, edge_seed)| OutEdge {
-                    router: Router::with_shared(
+                    router: Router::new(
                         grouping,
                         topology.components[*to].parallelism,
                         *edge_seed,

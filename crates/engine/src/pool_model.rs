@@ -266,7 +266,7 @@ fn blank_body(component: &str, kind: TaskKind, edges: Vec<OutEdge>) -> TaskBody 
 fn spill_fixture(seen: Arc<StdMutex<Vec<i64>>>, workers: usize, ring: bool) -> Shared {
     let tx = if ring { EdgeTx::TaskRings(vec![1]) } else { EdgeTx::Tasks(vec![1]) };
     let spout_edges = vec![OutEdge {
-        router: Router::new(&Grouping::Key, 1, 7, 0),
+        router: Router::new(&Grouping::Key, 1, 7, 0, None),
         tx,
         depths: Vec::new(),
         hedge: None,

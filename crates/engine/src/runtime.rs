@@ -308,7 +308,7 @@ impl Runtime {
                 let edges: Vec<OutEdge> = out_edges[ci]
                     .iter()
                     .map(|(to, grouping, edge_seed)| OutEdge {
-                        router: Router::with_shared(
+                        router: Router::new(
                             grouping,
                             topology.components[*to].parallelism,
                             *edge_seed,
@@ -488,8 +488,6 @@ mod tests {
         // is not at the mercy of a 1-in-n candidate collision.
         let seed = 9u64;
         let edge_seed = fmix64(seed ^ 1);
-        let probe = crate::grouping::Router::new(&Grouping::partial_key(), 4, edge_seed, 0);
-        let _ = probe; // candidates are internal; probe via a fresh PKG:
         let pkg = pkg_core::PartialKeyGrouping::new(4, 2, pkg_core::Estimate::local(4), edge_seed);
         use pkg_core::Partitioner as _;
         let hot = (0u64..100)

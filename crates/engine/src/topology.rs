@@ -2,6 +2,8 @@
 
 use std::time::Duration;
 
+use pkg_core::EstimateKind;
+
 use crate::bolt::Bolt;
 use crate::grouping::Grouping;
 use crate::spout::Spout;
@@ -112,7 +114,8 @@ impl Topology {
     }
 
     /// Validate structural invariants (every bolt has ≥ 1 input, names are
-    /// unique). Called by the runtime before spawning threads.
+    /// unique, every edge's scheme is one the runtime can serve). Called by
+    /// the runtime before spawning threads.
     pub fn validate(&self) {
         let mut names = std::collections::HashSet::new();
         for (i, c) in self.components.iter().enumerate() {
@@ -123,8 +126,26 @@ impl Topology {
                 }
                 ComponentKind::Bolt(_) => {
                     assert!(!c.inputs.is_empty(), "bolt {} has no inputs", c.name);
-                    for (from, _) in &c.inputs {
+                    for (from, grouping) in &c.inputs {
                         assert!(from.0 < i, "edge must go forward");
+                        let Some(spec) = grouping.scheme() else { continue };
+                        let edge = format_args!(
+                            "bolt {} (input from {})",
+                            c.name, self.components[from.0].name
+                        );
+                        assert!(
+                            !spec.needs_frequencies(),
+                            "{edge}: {} needs the full key histogram, which a running \
+                             topology does not have",
+                            spec.label()
+                        );
+                        assert!(
+                            matches!(spec.estimate(), None | Some(EstimateKind::Local)),
+                            "{edge}: {} estimates load globally, but the engine's shared \
+                             estimate comes only from RuntimeOptions::load; use \
+                             EstimateKind::Local",
+                            spec.label()
+                        );
                     }
                 }
             }
@@ -137,6 +158,7 @@ mod tests {
     use super::*;
     use crate::bolt::CountingBolt;
     use crate::spout::spout_from_iter;
+    use pkg_core::SchemeSpec;
 
     #[test]
     fn builder_wires_edges() {
@@ -157,6 +179,43 @@ mod tests {
         let mut t = Topology::new();
         let _ = t.add_bolt("orphan", 1, |_| Box::new(CountingBolt::default()));
         t.validate();
+    }
+
+    fn served_by(grouping: Grouping) {
+        let mut t = Topology::new();
+        let s = t.add_spout("src", 1, |_| spout_from_iter(Vec::new()));
+        let _ = t.add_bolt("count", 2, |_| Box::new(CountingBolt::default())).input(s, grouping);
+        t.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "bolt count (input from src): PKG-G estimates load globally")]
+    fn global_estimate_scheme_is_invalid() {
+        served_by(Grouping::Scheme(SchemeSpec::pkg(EstimateKind::Global)));
+    }
+
+    #[test]
+    #[should_panic(expected = "bolt count (input from src): DC-P1 estimates load globally")]
+    fn probing_estimate_elastic_scheme_is_invalid() {
+        let probing = EstimateKind::Probing { period_ms: 60_000 };
+        served_by(Grouping::Elastic {
+            scheme: SchemeSpec::d_choices(probing),
+            plan: std::sync::Arc::new(pkg_elastic::MembershipPlan::new(2)),
+        });
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "bolt count (input from src): Off-Greedy needs the full key histogram"
+    )]
+    fn off_greedy_scheme_is_invalid() {
+        served_by(Grouping::Scheme(SchemeSpec::OffGreedy));
+    }
+
+    #[test]
+    fn local_schemes_are_valid() {
+        served_by(Grouping::Scheme(SchemeSpec::OnGreedy { estimate: EstimateKind::Local }));
+        served_by(Grouping::w_choices());
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The hedged-dispatch wire protocol: tagging duplicated head-key tuples
 //! so the aggregation stage can deduplicate them exactly.
 //!
-//! When the engine hedges a W-Choices head tuple (its chosen instance is
-//! stalled past the latency budget), it re-issues a copy to the next
-//! candidate. Both copies carry the same *hedge tag* in the otherwise
+//! When the engine hedges a head-key tuple (D-/W-Choices; its chosen
+//! instance is stalled past the latency budget), it re-issues a copy to the
+//! next candidate. Both copies carry the same *hedge tag* in the otherwise
 //! unused tuple payload: a reserved NUL-prefixed marker (the same
 //! reserved-key convention as `pkg_engine::EPOCH_MARKER_KEY` — real
 //! payloads in this codebase are either empty or a `PartialAgg` codec

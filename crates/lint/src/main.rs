@@ -18,6 +18,9 @@
 //! |           |                               | 3 lines                                       |
 //! | `panic`   | `pkg-engine` and              | no `.unwrap()` / `.expect(` — engine errors   |
 //! |           | `pkg-ingress` non-test code   | surface as typed panics with context          |
+//! | `routing` | `pkg-engine` non-test code    | no `hash_seeded` / `HashFamily` /             |
+//! |           |                               | `member_seed` / core scheme type — routing    |
+//! |           |                               | decisions stay behind `pkg-core`              |
 //! | `unsafe`  | every crate root              | `#![forbid(unsafe_code)]` present             |
 //!
 //! Exit status: 0 when clean, 1 with one diagnostic line per violation.
@@ -57,6 +60,22 @@ const FACADE_FILES: [&str; 7] = [
 /// (pool spawn-and-join structure is not a sync primitive), as does
 /// `std::time::Duration` (a value type, not a clock).
 const FACADE_BANNED: [&str; 3] = ["std::sync", "std::thread::sleep", "std::time::Instant"];
+
+/// Names banned by the `routing` rule: the hashing primitives and the
+/// core scheme types. An engine edge routes through the partitioner
+/// `pkg_core::SchemeSpec::build` makes, so engine and simulator cannot
+/// drift apart. A `SchemeSpec::KeyGrouping` path names a spec variant, not
+/// the type, and stays legal.
+const ROUTING_BANNED: [&str; 8] = [
+    "hash_seeded",
+    "HashFamily",
+    "member_seed",
+    "PartialKeyGrouping",
+    "AdaptiveChoices",
+    "KeyGrouping",
+    "ShuffleGrouping",
+    "HotAwarePkg",
+];
 
 /// Memory-ordering tokens that demand a `// ordering:` justification.
 const ORDERING_TOKENS: [&str; 5] = ["SeqCst", "Relaxed", "Acquire", "Release", "AcqRel"];
@@ -139,6 +158,9 @@ fn lint_file(rel: &str, src: &str) -> Vec<String> {
     {
         rule_panic(rel, &code, &in_test, &mut out);
     }
+    if rel.starts_with("crates/engine/src/") {
+        rule_routing(rel, &code, &in_test, &mut out);
+    }
     if is_crate_root(rel) && !src.contains("#![forbid(unsafe_code)]") {
         out.push(format!("{rel}:1: [unsafe] crate root is missing #![forbid(unsafe_code)]"));
     }
@@ -217,6 +239,37 @@ fn rule_panic(rel: &str, code: &[String], in_test: &[bool], out: &mut Vec<String
             }
         }
     }
+}
+
+fn rule_routing(rel: &str, code: &[String], in_test: &[bool], out: &mut Vec<String>) {
+    for (i, line) in code.iter().enumerate() {
+        if in_test[i] {
+            continue;
+        }
+        let line = without_spec_variants(line);
+        for banned in ROUTING_BANNED {
+            if has_word(&line, banned) {
+                out.push(format!(
+                    "{rel}:{}: [routing] `{banned}` in engine non-test code \
+                     (build routing through pkg_core::SchemeSpec)",
+                    i + 1
+                ));
+            }
+        }
+    }
+}
+
+/// `line` with every `SchemeSpec::Variant` path removed.
+fn without_spec_variants(line: &str) -> String {
+    const SPEC: &str = "SchemeSpec::";
+    let mut kept = String::with_capacity(line.len());
+    let mut rest = line;
+    while let Some(pos) = rest.find(SPEC) {
+        kept.push_str(&rest[..pos]);
+        rest = rest[pos + SPEC.len()..].trim_start_matches(|c: char| is_ident_byte(c as u8));
+    }
+    kept.push_str(rest);
+    kept
 }
 
 /// Is this trimmed code line the start of a `use` declaration (possibly
@@ -652,6 +705,23 @@ mod tests {
         let src = "fn f(x: Option<u8>) -> u8 {\n    x.unwrap()\n}\n";
         let v = lint("crates/engine/src/load.rs", src);
         assert!(v.iter().any(|v| v.contains("[panic]")), "{v:?}");
+    }
+
+    #[test]
+    fn seeded_routing_bypass_in_engine_is_caught() {
+        let hashed = "fn f(k: u64) -> u64 {\n    k.hash_seeded(7) % 4\n}\n";
+        let v = lint("crates/engine/src/grouping.rs", hashed);
+        assert!(v.iter().any(|v| v.contains("[routing]") && v.contains("hash_seeded")), "{v:?}");
+        let typed = "use pkg_core::{KeyGrouping, SchemeSpec};\n";
+        let v = lint("crates/engine/src/runtime.rs", typed);
+        assert!(v.iter().any(|v| v.contains("[routing]") && v.contains("KeyGrouping")), "{v:?}");
+        // A spec variant names no core type; other crates and engine tests
+        // may name anything.
+        let spec = "fn f() -> SchemeSpec {\n    SchemeSpec::KeyGrouping\n}\n";
+        assert!(lint("crates/engine/src/grouping.rs", spec).is_empty());
+        assert!(lint("crates/sim/src/simulation.rs", hashed).is_empty());
+        let gated = format!("#[cfg(test)]\nmod tests {{\n{hashed}}}\n");
+        assert!(lint("crates/engine/src/grouping.rs", &gated).is_empty());
     }
 
     #[test]
